@@ -71,6 +71,11 @@ def validate_table(doc: dict) -> CategoryTable:
         raise DocumentError("table document needs 'objects', 'zero' and 'ses'")
     if "zero" not in doc:
         raise MissingZero()
+    if not isinstance(doc["ses"], list):
+        raise DocumentError("'ses' must be a list")
+    for t in doc["ses"]:
+        if not (isinstance(t, (list, tuple)) and len(t) == 3):
+            raise DocumentError(f"ses entry is not a triple: {t!r}")
     return make_table(doc["objects"], doc["zero"], [tuple(t) for t in doc["ses"]])
 
 

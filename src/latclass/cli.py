@@ -123,8 +123,7 @@ def _check_distributive(L, checks):
     return verdict
 
 
-def _check_t0(L, checks):
-    verdict = is_distributive(L)
+def _check_t0(L, verdict, checks):
     for kind in (SpaceKind.K, SpaceKind.KP, SpaceKind.KGP):
         space = build_space(L, kind)
         must_be_topology = kind is not SpaceKind.K or verdict.distributive
@@ -207,10 +206,11 @@ def cmd_check(args) -> int:
     checks: list[dict] = []
     run_all = args.all or not (args.distributive or args.t0 or args.bijection
                                or args.functor)
+    verdict = None
     if run_all or args.distributive:
-        _check_distributive(L, checks)
+        verdict = _check_distributive(L, checks)
     if run_all or args.t0:
-        _check_t0(L, checks)
+        _check_t0(L, verdict or is_distributive(L), checks)
     if run_all:
         for cls in GeneratorClass:
             _check_bijection(L, cls, checks)

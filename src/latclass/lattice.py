@@ -23,12 +23,11 @@ from .errors import (
 
 
 def _mask_bits(mask: int):
-    i = 0
+    """Indices of the set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FiniteLattice:
@@ -72,16 +71,12 @@ class FiniteLattice:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise UnknownElement((lo, hi))
             succ[lo].add(hi)
-        _check_acyclic(succ)
-        # up[i] = bitmask of j with i <= j
-        up = [1 << i for i in range(n)]
-        for i in _reverse_topo_order(succ):
+        # every predecessor of i comes before i, so down[i] is complete
+        # by the time it is pushed up to i's successors
+        down = [1 << i for i in range(n)]
+        for i in _topological_order(succ):
             for j in succ[i]:
-                up[i] |= up[j]
-        down = [0] * n
-        for i in range(n):
-            for j in _mask_bits(up[i]):
-                down[j] |= 1 << i
+                down[j] |= down[i]
         return cls.from_order(name, elements, down)
 
     @classmethod
@@ -96,36 +91,65 @@ class FiniteLattice:
                 raise DuplicateLabel(lab)
             seen.add(lab)
         down = list(down)
+        # Number the elements along a linear extension: j < i makes down[j]
+        # a proper subset of down[i], so sorting by down-set size puts every
+        # element after all those below it.  In that numbering the least
+        # element of a set, if it has one, is its lowest bit and the
+        # greatest its highest; one mask test confirms the candidate.
+        order = sorted(range(n), key=lambda i: down[i].bit_count())
+        rank = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+        ranked_up = [0] * n  # bit rank[j] of ranked_up[i] is set iff i <= j
+        ranked_down = [0] * n  # bit rank[j] of ranked_down[i]: j <= i
         for i in range(n):
             if not down[i] >> i & 1:
                 raise DocumentError(f"order not reflexive at {i}")
+            outside = ~down[i]
+            bit = 1 << rank[i]
             for j in _mask_bits(down[i]):
                 if i != j and down[j] >> i & 1:
                     raise CycleError((i, j))
-                if down[j] & ~down[i]:
+                if down[j] & outside:
                     raise DocumentError(f"order not transitive at ({j}, {i})")
-        up = [0] * n
+                ranked_up[j] |= bit
+                ranked_down[i] |= 1 << rank[j]
+        # rows are finished one at a time, so only the final tuples are kept
+        join_table = []
+        meet_table = []
         for i in range(n):
-            for j in _mask_bits(down[i]):
-                up[j] |= 1 << i
-        full = (1 << n) - 1
-        join_table = [[0] * n for _ in range(n)]
-        meet_table = [[0] * n for _ in range(n)]
-        for i in range(n):
+            up_i, down_i = ranked_up[i], ranked_down[i]
+            # the pairs (j, i) with j < i were checked in row j
+            join_row = [row[i] for row in join_table]
+            meet_row = [row[i] for row in meet_table]
             for j in range(i, n):
-                join_table[i][j] = join_table[j][i] = _least(
-                    up[i] & up[j], up, (i, j), "join")
-                meet_table[i][j] = meet_table[j][i] = _greatest(
-                    down[i] & down[j], down, (i, j), "meet")
-        bottom = _least(full, up, (0, 0), "join")
-        top = _greatest(full, down, (0, 0), "meet")
+                above = up_i & ranked_up[j]
+                c = order[(above & -above).bit_length() - 1]
+                if not above or above & ~ranked_up[c]:
+                    raise NotALattice((i, j), "join")
+                join_row.append(c)
+                below = down_i & ranked_down[j]
+                c = order[below.bit_length() - 1]
+                if not below or below & ~ranked_down[c]:
+                    raise NotALattice((i, j), "meet")
+                meet_row.append(c)
+            join_table.append(tuple(join_row))
+            meet_table.append(tuple(meet_row))
+        if not n:
+            raise NotALattice((0, 0), "join")
+        # all pairwise meets exist, so the meet of everything is the least
+        # element, first in the linear extension; dually for the top
+        bottom, top = order[0], order[-1]
+        # The lower covers of j are the maximal elements of its strict
+        # down-set: the highest-ranked element left is one of them, and
+        # taking away its down-set leaves the others.
         covers = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and down[j] >> i & 1:
-                    between = down[j] & up[i] & ~(1 << i) & ~(1 << j)
-                    if not between:
-                        covers.append((i, j))
+        for j in range(n):
+            below = ranked_down[j] & ~(1 << rank[j])
+            while below:
+                c = order[below.bit_length() - 1]
+                covers.append((c, j))
+                below &= ~ranked_down[c]
         return cls(name, elements, down, sorted(covers), join_table, meet_table,
                    bottom, top)
 
@@ -192,63 +216,44 @@ class FiniteLattice:
         return f"FiniteLattice({self.name!r}, {self.n} elements)"
 
 
-def _check_acyclic(succ):
+def _topological_order(succ):
+    """Kahn's algorithm: the vertices 0..n-1 ordered so that each comes
+    before its successors.  Raises CycleError naming one cycle's vertices."""
     n = len(succ)
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    stack_trace = []
-
-    def visit(v):
-        color[v] = 1
-        stack_trace.append(v)
-        for w in succ[v]:
-            if color[w] == 1:
-                raise CycleError(stack_trace[stack_trace.index(w):])
-            if color[w] == 0:
-                visit(w)
-        stack_trace.pop()
-        color[v] = 2
-
-    for v in range(n):
-        if color[v] == 0:
-            visit(v)
+    indegree = [0] * n
+    for targets in succ:
+        for j in targets:
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # the loop also visits what it appends
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        raise CycleError(_find_cycle(succ, indegree))
+    return order
 
 
-def _reverse_topo_order(succ):
-    n = len(succ)
-    order = []
-    seen = [False] * n
-
-    def visit(v):
-        seen[v] = True
-        for w in succ[v]:
-            if not seen[w]:
-                visit(w)
-        order.append(v)
-
-    for v in range(n):
-        if not seen[v]:
-            visit(v)
-    return order  # children before parents
-
-
-def _least(candidates_mask, up, pair, which):
-    """Least element of the candidate set (the one below all others),
-    or NotALattice."""
-    if not candidates_mask:
-        raise NotALattice(pair, which)
-    for c in _mask_bits(candidates_mask):
-        if candidates_mask & ~up[c] == 0:
-            return c
-    raise NotALattice(pair, which)
-
-
-def _greatest(candidates_mask, down, pair, which):
-    if not candidates_mask:
-        raise NotALattice(pair, which)
-    for c in _mask_bits(candidates_mask):
-        if candidates_mask & ~down[c] == 0:
-            return c
-    raise NotALattice(pair, which)
+def _find_cycle(succ, indegree):
+    """One cycle among the vertices a topological sort left unsorted, in
+    edge order from its smallest vertex.  Each of them keeps a predecessor
+    that is also left, so walking back along predecessors revisits one."""
+    left = [i for i in range(len(succ)) if indegree[i]]
+    pred = {}
+    for i in left:
+        for j in succ[i]:
+            pred.setdefault(j, i)
+    step = {}  # vertex -> its position on the walk
+    walk = []
+    i = left[0]
+    while i not in step:
+        step[i] = len(walk)
+        walk.append(i)
+        i = pred[i]
+    cycle = walk[step[i]:][::-1]
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
 
 
 # -- documents -----------------------------------------------------------
@@ -273,7 +278,13 @@ def load_lattice(doc: dict) -> FiniteLattice:
             return e
         raise DocumentError(f"bad cover entry: {e!r}")
 
-    covers = [(resolve(lo), resolve(hi)) for lo, hi in doc["covers"]]
+    if not isinstance(doc["covers"], list):
+        raise DocumentError("'covers' must be a list")
+    covers = []
+    for entry in doc["covers"]:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise DocumentError(f"cover entry is not a pair: {entry!r}")
+        covers.append((resolve(entry[0]), resolve(entry[1])))
     return FiniteLattice.from_covers(doc.get("name", "lattice"), elements, covers)
 
 

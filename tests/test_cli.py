@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -46,11 +47,43 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert out["type"] == "table" and out["n_ses"] == 8
 
+    def test_chain_longer_than_recursion_limit(self, tmp_path, capsys):
+        k = 1200
+        assert k > sys.getrecursionlimit()
+        doc = {"elements": [str(i) for i in range(k)],
+               "covers": [[i, i + 1] for i in range(k - 1)]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["validate", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"type": "lattice", "ok": True, "n_elements": k}
+
     def test_unrecognized(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{\"stuff\": 1}", encoding="utf-8")
         assert run(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("doc,argv", [
+        ({"elements": ["a", "b"], "covers": [[0]]}, ["validate"]),
+        ({"elements": ["a", "b"], "covers": [[0, 1, 1]]}, ["validate"]),
+        ({"elements": ["a", "b"], "covers": [0]}, ["validate"]),
+        ({"elements": ["a", "b"], "covers": 5}, ["validate"]),
+        ({"objects": ["0", "a"], "zero": 0, "ses": 5}, ["validate"]),
+        ({"elements": ["a", "b"], "covers": ["ab"]}, ["check", "--all"]),
+        ({"objects": ["0", "a"], "zero": 0, "ses": [[0, 1]]}, ["validate"]),
+        ({"objects": ["0", "a"], "zero": 0, "ses": [7]},
+         ["catlab", "--type", "serre"]),
+    ])
+    def test_exit_2(self, tmp_path, capsys, doc, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestAnalyze:
@@ -134,6 +167,28 @@ class TestCheck:
         assert "pointfree[collapse]" in names
         assert "contravariant-composition[collapse.id]" in names
         assert out["ok"]
+
+    def test_all_runs_forbidden_search_twice_on_pentagon(
+            self, tmp_path, capsys, monkeypatch):
+        # once as the second distributivity route, once for the witness;
+        # the topology checks reuse the verdict
+        from latclass import cli, lattice
+        calls = []
+        search = lattice.find_forbidden_sublattice
+
+        def counted(L):
+            calls.append(L.name)
+            return search(L)
+
+        monkeypatch.setattr(lattice, "find_forbidden_sublattice", counted)
+        monkeypatch.setattr(cli, "find_forbidden_sublattice", counted)
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps(lattice.lattice_to_doc(
+            lattice.pentagon_n5())), encoding="utf-8")
+        assert run(["check", str(path), "--all"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["checks"][0]["detail"]["forbidden"] == "pentagon"
+        assert len(calls) == 2
 
 
 class TestQuotient:
