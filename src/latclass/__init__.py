@@ -8,11 +8,8 @@ from .lattice import (
     DistributivityVerdict,
     check_hom,
     dualize,
-    down_set,
     find_isomorphism,
     is_distributive,
-    lattice_join,
-    lattice_meet,
     load_lattice,
 )
 from .spectra import (

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DocumentError, MissingZero, TooLarge, UnknownObject
-from .lattice import FiniteLattice, powerset_lattice
+from .lattice import (
+    FiniteLattice,
+    _is_index,
+    canonical_sets,
+    powerset_lattice,
+    set_label,
+)
 
 ENUMERATION_CAP = 12
 POWERSET_MODEL_CAP = 10
@@ -50,13 +56,13 @@ def make_table(objects, zero, ses) -> CategoryTable:
     (0, x, x) for every object."""
     objects = tuple(objects)
     n = len(objects)
-    if not (isinstance(zero, int) and 0 <= zero < n):
+    if not _is_index(zero, n):
         raise MissingZero()
     triples = set()
     for t in ses:
         s, m, q = t
         for v in (s, m, q):
-            if not (isinstance(v, int) and 0 <= v < n):
+            if not _is_index(v, n):
                 raise UnknownObject(v)
         triples.add((s, m, q))
     for x in range(n):
@@ -71,6 +77,8 @@ def validate_table(doc: dict) -> CategoryTable:
         raise DocumentError("table document needs 'objects', 'zero' and 'ses'")
     if "zero" not in doc:
         raise MissingZero()
+    if not isinstance(doc["objects"], list):
+        raise DocumentError("'objects' must be a list")
     if not isinstance(doc["ses"], list):
         raise DocumentError("'ses' must be a list")
     for t in doc["ses"]:
@@ -114,12 +122,6 @@ def close(T: CategoryTable, seed, kind: SubcategoryKind) -> frozenset[int]:
     return frozenset(current)
 
 
-def subset_label(T: CategoryTable, s: frozenset[int]) -> str:
-    if not s:
-        return "∅"
-    return "{" + ",".join(T.objects[i] for i in sorted(s)) + "}"
-
-
 def closed_object_sets(T: CategoryTable, kind: SubcategoryKind,
                        cap: int = ENUMERATION_CAP) -> list[frozenset[int]]:
     """All distinct closures of subsets of objects, in the canonical order
@@ -130,7 +132,7 @@ def closed_object_sets(T: CategoryTable, kind: SubcategoryKind,
     closed = set()
     for bits in range(1 << n):
         closed.add(close(T, [i for i in range(n) if bits >> i & 1], kind))
-    return sorted(closed, key=lambda s: (len(s), sorted(s)))
+    return list(canonical_sets(closed))
 
 
 def enumerate_subcategory_lattice(T: CategoryTable, kind: SubcategoryKind,
@@ -141,13 +143,9 @@ def enumerate_subcategory_lattice(T: CategoryTable, kind: SubcategoryKind,
     family is intersection-closed).
     """
     sets = closed_object_sets(T, kind, cap)
-    down = [0] * len(sets)
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if b <= a:
-                down[i] |= 1 << j
-    return FiniteLattice.from_order(
-        f"{kind.value}-subcategories", [subset_label(T, s) for s in sets], down)
+    return FiniteLattice.from_sets(
+        f"{kind.value}-subcategories", sets,
+        [set_label(T.objects, s) for s in sets])
 
 
 def is_monoform(T: CategoryTable, x) -> bool:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import NotCompleteHom, NotIso
-from .lattice import FiniteLattice, HomLevel, LatticeHom
+from .lattice import FiniteLattice, HomLevel, LatticeHom, canonical_sets
 from .spectra import POINT_SET_PREDICATES, classify_element, spectrum_report
 
 
@@ -59,10 +59,6 @@ class ClassifyingSpace:
     t0: bool = True
 
 
-def _canonical(sets) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
-
-
 def build_space(L: FiniteLattice, kind: SpaceKind) -> ClassifyingSpace:
     """Point set per kind, generated closed family (deduplicated, with the
     formal empty set), and topology / T0 diagnostics.
@@ -83,7 +79,7 @@ def build_space(L: FiniteLattice, kind: SpaceKind) -> ClassifyingSpace:
         generators.setdefault(subset, []).append(c)
     generators.setdefault(frozenset(), [])  # the formal empty set
     generators.setdefault(point_set, [])
-    closed_sets = _canonical(generators)
+    closed_sets = canonical_sets(generators)
     check = _topology_check(generators)
     return ClassifyingSpace(
         lattice=L,
@@ -99,7 +95,7 @@ def build_space(L: FiniteLattice, kind: SpaceKind) -> ClassifyingSpace:
 
 def _topology_check(generators) -> TopologyCheck:
     family = set(generators)
-    members = sorted(family, key=lambda s: (len(s), sorted(s)))
+    members = canonical_sets(family)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             for op, res in (("union", a | b), ("intersection", a & b)):
@@ -224,7 +220,7 @@ def verify_classification(L: FiniteLattice,
     # The bijection ranges over the generated subsets only; the formal
     # empty set of the topology is not part of it (it is generated anyway
     # whenever no class member sits at the bottom).
-    closed_sets = _canonical(xi.values())
+    closed_sets = canonical_sets(xi.values())
     theta = {s: L.join_set(s) for s in closed_sets}
     fixed = tuple(c for c in range(L.n) if hat(L, c, cls) == c)
 

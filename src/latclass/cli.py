@@ -20,10 +20,11 @@ from .classifying import (
     space_to_json,
     verify_classification,
 )
-from .errors import LatClassError
+from .errors import DocumentError, LatClassError
 from .finspace import load_space, quotient_to_json, t0_quotient
 from .lattice import (
     check_hom,
+    compose_hom,
     is_distributive,
     lattice_to_doc,
     lattice_to_dot,
@@ -40,7 +41,10 @@ def emit(obj, stream=None) -> None:
 
 def read_doc(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DocumentError("document is not a JSON object")
+    return doc
 
 
 def detect_and_load(doc: dict):
@@ -169,14 +173,21 @@ def _check_bijection(L, cls, checks):
 
 
 def _check_functor(L, homfile_doc, checks):
+    lattice_docs = homfile_doc.get("lattices", {})
+    hom_docs = homfile_doc.get("homs", [])
+    if not (isinstance(lattice_docs, dict) and isinstance(hom_docs, list)
+            and all(isinstance(h, dict) for h in hom_docs)):
+        raise DocumentError(
+            "homfile needs 'lattices' as an object and 'homs' as a list of objects")
     lattices = {"main": L}
-    for name, doc in homfile_doc.get("lattices", {}).items():
+    for name, doc in lattice_docs.items():
         lattices[name] = load_lattice(doc)
     homs = []
-    for i, h in enumerate(homfile_doc.get("homs", [])):
-        src = lattices[h.get("source", "main")]
-        dst = lattices[h.get("target", "main")]
-        hom = check_hom(h["map"], src, dst)
+    for i, h in enumerate(hom_docs):
+        ends = (h.get("source", "main"), h.get("target", "main"))
+        if not all(isinstance(e, str) and e in lattices for e in ends):
+            raise DocumentError(f"hom {i} names an unknown lattice: {ends}")
+        hom = check_hom(h["map"], lattices[ends[0]], lattices[ends[1]])
         name = h.get("name", f"hom{i}")
         pf = pointfree_map(hom)
         checks.append({
@@ -190,7 +201,6 @@ def _check_functor(L, homfile_doc, checks):
         for gname, g, pf_g in homs:
             if f.target != g.source:
                 continue
-            from .lattice import compose_hom
             comp = pointfree_map(compose_hom(f, g))
             composed = {c: pf_f.mapping[pf_g.mapping[c]]
                         for c in pf_g.source_primes}

@@ -16,6 +16,7 @@ from .lattice import (
     FiniteLattice,
     HomLevel,
     LatticeHom,
+    canonical_sets,
     chain,
     check_hom,
     diamond_m3,
@@ -25,6 +26,7 @@ from .lattice import (
     load_lattice,
     pentagon_n5,
     powerset_lattice,
+    set_label,
 )
 
 
@@ -221,15 +223,10 @@ def random_lattice(rng: random.Random, max_size: int = 10,
                     changed = True
         if len(family) > max_size:
             continue
-        sets = sorted(family, key=lambda s: (len(s), sorted(s)))
-        down = [0] * len(sets)
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if b <= a:
-                    down[i] |= 1 << j
-        labels = ["∅" if not s else "{" + ",".join(map(str, sorted(s))) + "}"
-                  for s in sets]
-        return FiniteLattice.from_order(name or "random", labels, down)
+        sets = canonical_sets(family)
+        names = [str(i) for i in range(m)]
+        return FiniteLattice.from_sets(name or "random", sets,
+                                       [set_label(names, s) for s in sets])
 
 
 def random_poset(rng: random.Random, size: int) -> list[int]:
@@ -238,20 +235,17 @@ def random_poset(rng: random.Random, size: int) -> list[int]:
     for j in range(size):
         for i in range(j):
             if rng.random() < 0.4:
+                # down[i] is final and down-closed, so down[j] stays so
                 down[j] |= down[i]
-    # transitive closure by propagation until stable
-    changed = True
-    while changed:
-        changed = False
-        for j in range(size):
-            acc = down[j]
-            for i in range(size):
-                if down[j] >> i & 1:
-                    acc |= down[i]
-            if acc != down[j]:
-                down[j] = acc
-                changed = True
     return down
+
+
+def _down_sets(below: list[int]) -> list[int]:
+    """The down-sets of a preorder given by its down-set masks: the subsets
+    that contain below[i] with each member i, as masks in increasing order."""
+    n = len(below)
+    return [bits for bits in range(1 << n)
+            if all(below[i] & bits == below[i] for i in range(n) if bits >> i & 1)]
 
 
 def random_downset_lattice(rng: random.Random, max_poset: int = 4,
@@ -259,21 +253,12 @@ def random_downset_lattice(rng: random.Random, max_poset: int = 4,
     """The down-sets of a random poset, ordered by inclusion; distributive
     by construction (Birkhoff-style)."""
     m = rng.randint(1, max_poset)
-    down = random_poset(rng, m)
-    downsets = []
-    for bits in range(1 << m):
-        if all(down[j] & bits == down[j] for j in range(m) if bits >> j & 1):
-            downsets.append(bits)
-    downsets.sort(key=lambda b: (bin(b).count("1"), b))
-    order = [0] * len(downsets)
-    for i, a in enumerate(downsets):
-        for j, b in enumerate(downsets):
-            if b & a == b:
-                order[i] |= 1 << j
-    labels = ["∅" if not b else
-              "{" + ",".join(str(i) for i in range(m) if b >> i & 1) + "}"
-              for b in downsets]
-    return FiniteLattice.from_order(name or "downsets", labels, order)
+    downsets = sorted(_down_sets(random_poset(rng, m)),
+                      key=lambda b: (b.bit_count(), b))
+    sets = [[i for i in range(m) if b >> i & 1] for b in downsets]
+    names = [str(i) for i in range(m)]
+    return FiniteLattice.from_sets(name or "downsets", sets,
+                                   [set_label(names, s) for s in sets])
 
 
 def random_space(rng: random.Random, max_points: int = 8,
@@ -286,21 +271,12 @@ def random_space(rng: random.Random, max_points: int = 8,
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 below[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after step k, below[i] holds all that i reaches via 0..k
+    for k in range(n):
         for i in range(n):
-            acc = below[i]
-            for j in range(n):
-                if below[i] >> j & 1:
-                    acc |= below[j]
-            if acc != below[i]:
-                below[i] = acc
-                changed = True
-    closed = []
-    for bits in range(1 << n):
-        if all(below[i] & bits == below[i] for i in range(n) if bits >> i & 1):
-            closed.append([i for i in range(n) if bits >> i & 1])
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    closed = [[i for i in range(n) if bits >> i & 1] for bits in _down_sets(below)]
     return make_space([f"{name_prefix}{i}" for i in range(n)], closed)
 
 

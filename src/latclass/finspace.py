@@ -19,7 +19,7 @@ from .errors import (
     NotClosedUnderUnion,
     UnknownPoint,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _is_index, canonical_sets, set_label
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,10 @@ def make_space(points, closed_sets) -> FiniteSpace:
     n = len(points)
     family = set()
     for s in closed_sets:
-        fs = frozenset(s)
-        for i in fs:
-            if not (isinstance(i, int) and 0 <= i < n):
+        for i in s:
+            if not _is_index(i, n):
                 raise UnknownPoint(i)
-        family.add(fs)
+        family.add(frozenset(s))
     full = frozenset(range(n))
     if frozenset() not in family:
         raise MissingEmpty()
@@ -67,14 +66,16 @@ def make_space(points, closed_sets) -> FiniteSpace:
             raise NotClosedUnderUnion((tuple(sorted(a)), tuple(sorted(b))))
         if a & b not in family:
             raise NotClosedUnderIntersection((tuple(sorted(a)), tuple(sorted(b))))
-    canon = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
-    return FiniteSpace(points, canon)
+    return FiniteSpace(points, canonical_sets(family))
 
 
 def load_space(doc: dict) -> FiniteSpace:
     """Load a space document: {"points": [label], "closed_sets": [[index]]}."""
     if not isinstance(doc, dict) or "points" not in doc or "closed_sets" not in doc:
         raise DocumentError("space document needs 'points' and 'closed_sets'")
+    if not (isinstance(doc["points"], list) and isinstance(doc["closed_sets"], list)
+            and all(isinstance(s, list) for s in doc["closed_sets"])):
+        raise DocumentError("'points' must be a list and 'closed_sets' a list of lists")
     return make_space(doc["points"], doc["closed_sets"])
 
 
@@ -85,24 +86,12 @@ def space_doc(X: FiniteSpace) -> dict:
     }
 
 
-def set_label(X: FiniteSpace, s: frozenset[int]) -> str:
-    if not s:
-        return "∅"
-    return "{" + ",".join(X.points[i] for i in sorted(s)) + "}"
-
-
 def closed_set_lattice(X: FiniteSpace) -> FiniteLattice:
     """The closed sets ordered by inclusion; for a finite space the union
     of closed sets is closed, so joins are plain unions."""
-    sets = X.closed_sets
-    down = [0] * len(sets)
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if b <= a:
-                down[i] |= 1 << j
-    return FiniteLattice.from_order(
-        f"closed-sets({len(X.points)}pt)",
-        [set_label(X, s) for s in sets], down)
+    return FiniteLattice.from_sets(
+        f"closed-sets({len(X.points)}pt)", X.closed_sets,
+        [set_label(X.points, s) for s in X.closed_sets])
 
 
 def closure_of_point(X: FiniteSpace, x) -> frozenset[int]:

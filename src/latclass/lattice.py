@@ -30,6 +30,24 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
+def _is_index(v, n: int) -> bool:
+    """v is an int in range(n); a bool is not an index."""
+    return type(v) is int and 0 <= v < n
+
+
+def canonical_sets(sets) -> tuple[frozenset[int], ...]:
+    """The distinct sets, smallest first, equal sizes by sorted members."""
+    return tuple(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
+
+
+def set_label(names: Sequence[str], members: Iterable[int]) -> str:
+    """'∅', or the names of the members in index order, as '{a,b}'."""
+    members = sorted(members)
+    if not members:
+        return "∅"
+    return "{" + ",".join(names[i] for i in members) + "}"
+
+
 class FiniteLattice:
     """A finite bounded lattice with materialized join/meet tables.
 
@@ -78,6 +96,16 @@ class FiniteLattice:
             for j in succ[i]:
                 down[j] |= down[i]
         return cls.from_order(name, elements, down)
+
+    @classmethod
+    def from_sets(cls, name: str, sets: Sequence[Iterable[int]],
+                  labels: Sequence[str]) -> "FiniteLattice":
+        """The given sets of indices ordered by inclusion; element i is
+        sets[i], so the caller's order is the element order."""
+        masks = [sum(1 << b for b in s) for s in sets]
+        down = [sum(1 << j for j, b in enumerate(masks) if b & a == b)
+                for a in masks]
+        return cls.from_order(name, labels, down)
 
     @classmethod
     def from_order(cls, name: str, elements: Sequence[str],
@@ -160,7 +188,7 @@ class FiniteLattice:
         return len(self.elements)
 
     def check_element(self, c: int) -> int:
-        if not (isinstance(c, int) and 0 <= c < self.n):
+        if not _is_index(c, self.n):
             raise UnknownElement(c)
         return c
 
@@ -266,7 +294,9 @@ def load_lattice(doc: dict) -> FiniteLattice:
     """
     if not isinstance(doc, dict) or "elements" not in doc or "covers" not in doc:
         raise DocumentError("lattice document needs 'elements' and 'covers'")
-    elements = list(doc["elements"])
+    if not isinstance(doc["elements"], list):
+        raise DocumentError("'elements' must be a list")
+    elements = doc["elements"]
     index = {lab: i for i, lab in enumerate(elements)}
 
     def resolve(e):
@@ -274,7 +304,7 @@ def load_lattice(doc: dict) -> FiniteLattice:
             if e not in index:
                 raise UnknownElement(e)
             return index[e]
-        if isinstance(e, int):
+        if type(e) is int:
             return e
         raise DocumentError(f"bad cover entry: {e!r}")
 
@@ -308,19 +338,6 @@ def lattice_to_dot(L: FiniteLattice) -> str:
 
 
 # -- lattice operations --------------------------------------------------
-
-
-def lattice_join(L: FiniteLattice, subset: Iterable[int]) -> int:
-    return L.join_set(subset)
-
-
-def lattice_meet(L: FiniteLattice, subset: Iterable[int]) -> int:
-    return L.meet_set(subset)
-
-
-def down_set(L: FiniteLattice, c: int) -> frozenset[int]:
-    """The principal ideal of c: all elements below it."""
-    return L.down_set(c)
 
 
 def dualize(L: FiniteLattice) -> FiniteLattice:
@@ -456,8 +473,8 @@ def check_hom(mapping: Sequence[int], L1: FiniteLattice,
     case by folding, so the complete level reduces to the binary checks plus
     the empty join (bottom -> bottom) and empty meet (top -> top).
     """
-    if len(mapping) != L1.n:
-        raise DocumentError("map must be total on the source elements")
+    if not isinstance(mapping, (list, tuple)) or len(mapping) != L1.n:
+        raise DocumentError("map must be a list, total on the source elements")
     f = tuple(L2.check_element(v) for v in mapping)
     for a in range(L1.n):
         for b in range(L1.n):
@@ -577,13 +594,7 @@ def powerset_lattice(base_labels: Sequence[str],
     """
     m = len(base_labels)
     n = 1 << m
-
-    def label(mask):
-        if mask == 0:
-            return "∅"
-        return "{" + ",".join(base_labels[b] for b in _mask_bits(mask)) + "}"
-
-    elements = [label(i) for i in range(n)]
+    elements = [set_label(base_labels, _mask_bits(i)) for i in range(n)]
     down = [0] * n
     for i in range(n):
         sub = i

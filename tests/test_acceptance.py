@@ -20,7 +20,7 @@ from latclass.classifying import (
 )
 from latclass.cli import run
 from latclass.finspace import kq_vs_K_check, make_space, t0_quotient
-from latclass.lattice import compose_hom, is_distributive, PENTAGON
+from latclass.lattice import compose_hom, is_distributive, PENTAGON, set_label
 from latclass.spectra import (
     CompletelyClass,
     classify_element,
@@ -166,7 +166,7 @@ def test_09_subcategory_spaces():
     S = catlab.enumerate_subcategory_lattice(T, catlab.SubcategoryKind.SERRE)
     points = {S.elements[c] for c in range(S.n)
               if classify_element(S, c).completely_join_prime}
-    reps = {catlab.subset_label(T, catlab.close(T, [x], catlab.SubcategoryKind.SERRE))
+    reps = {set_label(T.objects, catlab.close(T, [x], catlab.SubcategoryKind.SERRE))
             for x in T.objects if catlab.is_monoform(T, x)}
     assert points <= reps
     assert S.elements[S.top] not in points

@@ -13,13 +13,12 @@ from latclass.catlab import (
     is_monoform,
     make_table,
     powerset_model,
-    subset_label,
     table_doc,
     validate_table,
 )
 from latclass.classifying import SpaceKind, build_space
 from latclass.errors import DocumentError, MissingZero, TooLarge, UnknownObject
-from latclass.lattice import chain, find_isomorphism, powerset_lattice
+from latclass.lattice import chain, find_isomorphism, powerset_lattice, set_label
 from latclass.spectra import classify_element
 
 
@@ -167,7 +166,7 @@ class TestEnumerate:
         L = enumerate_subcategory_lattice(T, SubcategoryKind.SERRE)
         points = {L.elements[c] for c in range(L.n)
                   if classify_element(L, c).completely_join_prime}
-        reps = {subset_label(T, close(T, [x], SubcategoryKind.SERRE))
+        reps = {set_label(T.objects, close(T, [x], SubcategoryKind.SERRE))
                 for x in T.objects if is_monoform(T, x)}
         assert points <= reps
         assert L.elements[L.top] not in points
@@ -211,5 +210,5 @@ class TestPowersetModel:
 class TestSubsetLabel:
     def test_labels(self):
         T = a2_table()
-        assert subset_label(T, frozenset()) == "∅"
-        assert subset_label(T, frozenset({0, 1})) == "{0,a}"
+        assert set_label(T.objects, frozenset()) == "∅"
+        assert set_label(T.objects, frozenset({0, 1})) == "{0,a}"

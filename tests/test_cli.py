@@ -76,6 +76,18 @@ class TestMalformedEntries:
         ({"objects": ["0", "a"], "zero": 0, "ses": [[0, 1]]}, ["validate"]),
         ({"objects": ["0", "a"], "zero": 0, "ses": [7]},
          ["catlab", "--type", "serre"]),
+        # a string is not a list of labels, and a bool is not an index
+        ({"elements": "ab", "covers": [[0, 1]]}, ["validate"]),
+        ({"elements": ["a", "b"], "covers": [[False, True]]}, ["validate"]),
+        ({"points": ["x", "y"], "closed_sets": [[], [True], [0, 1]]},
+         ["validate"]),
+        ({"points": "xy", "closed_sets": [[], [0], [0, 1]]}, ["validate"]),
+        ({"points": ["x", "y"], "closed_sets": [[], [0], 5]}, ["quotient"]),
+        ({"objects": ["0", "a"], "zero": True, "ses": []}, ["validate"]),
+        ({"objects": "0a", "zero": 0, "ses": []}, ["validate"]),
+        ({"objects": ["0", "a"], "zero": 0, "ses": [[0, True, 1]]},
+         ["validate"]),
+        (5, ["validate"]),
     ])
     def test_exit_2(self, tmp_path, capsys, doc, argv):
         path = tmp_path / "bad.json"
@@ -167,6 +179,22 @@ class TestCheck:
         assert "pointfree[collapse]" in names
         assert "contravariant-composition[collapse.id]" in names
         assert out["ok"]
+
+    @pytest.mark.parametrize("homdoc", [
+        [],
+        {"lattices": [1], "homs": []},
+        {"homs": [{"map": 5}]},
+        {"homs": [{"map": [False, True, 2, 3, 4, 5]}]},
+        {"homs": [{"source": ["main"], "map": [0, 1, 2, 3, 4, 5]}]},
+    ])
+    def test_functor_malformed_homfile_exit_2(self, a2_file, tmp_path, capsys,
+                                              homdoc):
+        path = tmp_path / "homs.json"
+        path.write_text(json.dumps(homdoc), encoding="utf-8")
+        assert run(["check", a2_file, "--functor", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_all_runs_forbidden_search_twice_on_pentagon(
             self, tmp_path, capsys, monkeypatch):

@@ -5,6 +5,9 @@ highest bit of a mask in a linear-extension numbering.  The oracle below is
 the construction it replaced: for every pair, scan the candidate bounds one
 by one for the one below (or above) all the others.  Both must give the same
 tables, covers, bottom and top, and fail with the same exception and message.
+
+``FiniteLattice.from_sets`` orders sets by one mask test per pair; its oracle
+is the pairwise frozenset inclusion loop it replaced.
 """
 
 import itertools
@@ -169,6 +172,44 @@ def test_from_order_matches_pairwise_scan():
             failures += got[0] != "ok"
     # the random posets include many that are not lattices
     assert failures > 100
+
+
+def oracle_inclusion_order(sets):
+    """Down-set masks of the sets ordered by inclusion, pair by pair."""
+    down = [0] * len(sets)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if b <= a:
+                down[i] |= 1 << j
+    return down
+
+
+def test_from_sets_matches_pairwise_inclusion():
+    rng = random.Random(20261019)
+    failures = 0
+    for k in range(600):
+        m = rng.randint(0, 6)
+        family = {frozenset(i for i in range(m) if rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 14))}
+        if k % 2:  # half of them intersection-closed with the full set
+            family.add(frozenset(range(m)))
+            while any(a & b not in family
+                      for a, b in itertools.combinations(family, 2)):
+                family |= {a & b for a, b in itertools.combinations(family, 2)}
+        sets = list(family)
+        rng.shuffle(sets)
+        labels = [f"s{i}" for i in range(len(sets))]
+        # members given as sorted lists or as frozensets
+        given = [sorted(a) for a in sets] if k % 3 else sets
+        got = _outcome(lambda: FiniteLattice.from_sets("x", given, labels))
+        want = _outcome(lambda: FiniteLattice.from_order(
+            "x", labels, oracle_inclusion_order(sets)))
+        assert got == want, sets
+        if got[0] == "ok":
+            assert got[1].down == tuple(oracle_inclusion_order(sets))
+        failures += got[0] != "ok"
+    # arbitrary families are often not lattices
+    assert 50 < failures < 300
 
 
 def test_broken_orders_fail_alike():

@@ -17,13 +17,10 @@ from latclass.lattice import (
     chain,
     check_hom,
     diamond_m3,
-    down_set,
     dualize,
     find_forbidden_sublattice,
     find_isomorphism,
     is_distributive,
-    lattice_join,
-    lattice_meet,
     lattice_to_doc,
     lattice_to_dot,
     load_lattice,
@@ -75,11 +72,11 @@ class TestLoadLattice:
 
 class TestJoinMeet:
     def test_a2_join(self, a2):
-        assert lattice_join(a2, {A, C}) == ALL
+        assert a2.join_set({A, C}) == ALL
 
     def test_empty_join_is_bottom(self, a2):
-        assert lattice_join(a2, set()) == a2.bottom
-        assert lattice_meet(a2, set()) == a2.top
+        assert a2.join_set(set()) == a2.bottom
+        assert a2.meet_set(set()) == a2.top
 
     def test_powerset_join_is_union(self):
         # oracle: joins in a powerset lattice are plain set unions
@@ -90,7 +87,7 @@ class TestJoinMeet:
 
     def test_unknown_element(self, a2):
         with pytest.raises(UnknownElement):
-            lattice_join(a2, {99})
+            a2.join_set({99})
 
 
 class TestDistributivity:
@@ -152,15 +149,15 @@ class TestDualize:
 
 class TestDownSet:
     def test_a2_bc(self, a2):
-        assert down_set(a2, BC) == {EMPTY, ZERO, C, BC}
+        assert a2.down_set(BC) == {EMPTY, ZERO, C, BC}
 
     def test_bottom_and_top(self, a2):
-        assert down_set(a2, a2.bottom) == {a2.bottom}
-        assert down_set(a2, a2.top) == set(range(a2.n))
+        assert a2.down_set(a2.bottom) == {a2.bottom}
+        assert a2.down_set(a2.top) == set(range(a2.n))
 
     def test_unknown(self, a2):
         with pytest.raises(UnknownElement):
-            down_set(a2, 17)
+            a2.down_set(17)
 
 
 class TestCheckHom:
